@@ -936,11 +936,16 @@ fn cmd_distsim(rest: &[String]) -> Result<i32, CliError> {
         [g, t, r, ..] => (g, t, r),
         _ => return Err(usage_err("distsim needs <dataset|file> <template> <ranks>")),
     };
-    let g = load_graph(gspec)?;
-    let t = parse_template(tspec)?;
     let ranks: usize = rankspec
         .parse()
         .map_err(|_| CliError::Usage(format!("rank count: cannot parse {rankspec:?}")))?;
+    if ranks == 0 {
+        return Err(CliError::Usage(
+            "rank count: must be at least 1, got 0".into(),
+        ));
+    }
+    let g = load_graph(gspec)?;
+    let t = parse_template(tspec)?;
     let (mut count, obs) = parse_flags(&rest[3..])?;
     count.parallel = fascia_core::parallel::ParallelMode::Serial;
     for scheme in [PartitionScheme::Block, PartitionScheme::Hash] {

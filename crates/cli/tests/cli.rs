@@ -214,6 +214,18 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn distsim_rejects_zero_ranks_as_usage_error() {
+    let out = fascia()
+        .args(["distsim", "circuit", "path4", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 2);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("rank count"), "stderr: {err}");
+    assert!(!err.contains("iteration"), "stderr: {err}");
+}
+
+#[test]
 fn missing_input_file_exits_3() {
     let out = fascia()
         .args(["info", "/definitely/not/a/real/file.txt"])

@@ -7,10 +7,13 @@
 //! row[C] = Σ_{Ca ⊎ Cp = C} act(v, Ca) · (Σ_{u ∈ N(v)} pas(u, Cp))
 //! ```
 //!
-//! The scalar kernel (in `engine::cut_rows_for`) walks it vertex-major:
-//! for each vertex it probes child-table rows one color set at a time and
-//! allocates one boxed row per active vertex. The vectorized kernel here
-//! restructures the same arithmetic around contiguous memory:
+//! Both run only inside `engine::run_iteration`, the single DP driver.
+//! The scalar kernel, `engine::cut_rows_for` (the reference the
+//! equivalence suites check against, and the kernel `sample` and
+//! `distsim` run), walks it vertex-major: for each vertex it probes
+//! child-table rows one color set at a time and allocates one boxed row
+//! per active vertex. The vectorized kernel here restructures the same
+//! arithmetic around contiguous memory:
 //!
 //! 1. **Gather** — the passive child's neighbor rows are collected as
 //!    contiguous slices (arena rows of the reworked layouts) and
@@ -33,10 +36,9 @@
 //! `tests/kernel_equivalence.rs` enforces across every table layout and
 //! parallel mode.
 
-use crate::engine::{DpContext, Stored};
+use crate::engine::{Dp, Stored};
 use crate::metrics::CutMetrics;
-use crate::resilience::{CancelToken, POLL_INTERVAL};
-use fascia_graph::Graph;
+use crate::resilience::POLL_INTERVAL;
 use fascia_table::{CountTable, RowBatch};
 use fascia_template::partition::SubNode;
 use rayon::prelude::*;
@@ -176,22 +178,19 @@ impl Tally {
 
 /// Computes the cut-node rows with the vectorized kernel, returning the
 /// staged row arena. Logically identical (bitwise, see the module docs)
-/// to `engine::cut_rows_for` with `targets: None`.
-#[allow(clippy::too_many_arguments)]
+/// to the scalar `engine::cut_rows_for`.
 pub(crate) fn cut_batch<'t, T: CountTable>(
-    g: &Graph,
-    labels: Option<&[u8]>,
+    dp: &Dp,
     node: &SubNode,
-    a_node: &SubNode,
-    p_node: &SubNode,
     act: &'t Stored<T>,
     pas: &'t Stored<T>,
-    ctx: &DpContext,
     coloring: &[u8],
     inner_parallel: bool,
-    cancel: Option<&CancelToken>,
-    cm: Option<&CutMetrics>,
 ) -> RowBatch {
+    let (g, labels, ctx) = (dp.g, dp.labels, &dp.ctx);
+    let cancel = dp.cancel.as_ref();
+    let cm = dp.obs.metrics.as_ref().map(|m| &m.cut);
+    let (a_node, p_node) = dp.cut_children(node);
     let h = node.size as usize;
     let a = a_node.size as usize;
     let p = p_node.size as usize;

@@ -42,6 +42,7 @@ pub mod kernel;
 pub mod mem;
 pub(crate) mod metrics;
 pub mod motifs;
+pub(crate) mod observers;
 pub mod parallel;
 pub(crate) mod profile;
 pub mod progress;

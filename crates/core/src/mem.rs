@@ -37,11 +37,11 @@
 //! counting results are bitwise identical with it absent, attached, or
 //! attached with the allocator and access tracking enabled.
 
-use fascia_obs::alloc::{self, MemPhaseGuard, MemPhaseId};
+use crate::observers::node_name;
+use fascia_obs::alloc::{self, MemPhaseId};
 use fascia_obs::json::{array_of, ObjectWriter};
 use fascia_obs::MemSnapshot;
 use fascia_table::{AccessSnapshot, CountTable, TableStats, ACCESS_BUCKETS};
-use fascia_template::partition::NodeKind;
 use fascia_template::PartitionTree;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -227,13 +227,7 @@ impl RunMem {
         let collector = Arc::clone(mem?);
         let mut node: Vec<Option<(MemPhaseId, String)>> = vec![None; pt.nodes().len()];
         for &idx in pt.unique_order() {
-            let n = &pt.nodes()[idx as usize];
-            let kind = match n.kind {
-                NodeKind::Vertex => "vertex",
-                NodeKind::Triangle { .. } => "triangle",
-                NodeKind::Cut { .. } => "cut",
-            };
-            let name = format!("dp.n{idx:02}.{kind}{}", n.size);
+            let name = node_name(pt, idx);
             node[idx as usize] = Some((alloc::intern_phase(&name), name));
         }
         Some(Self {
@@ -242,32 +236,6 @@ impl RunMem {
             coloring: alloc::intern_phase("coloring"),
             node,
         })
-    }
-
-    /// Enters an allocator attribution phase if collection is on.
-    #[inline]
-    pub(crate) fn enter_opt(
-        mm: Option<&RunMem>,
-        pick: impl FnOnce(&RunMem) -> MemPhaseId,
-    ) -> Option<MemPhaseGuard> {
-        mm.map(|m| alloc::enter_phase(pick(m)))
-    }
-
-    /// Enters the per-subtemplate attribution phase for node `idx`.
-    #[inline]
-    pub(crate) fn node_enter_opt(mm: Option<&RunMem>, idx: usize) -> Option<MemPhaseGuard> {
-        let m = mm?;
-        Some(alloc::enter_phase(m.node[idx].as_ref()?.0))
-    }
-
-    /// Folds a released table into the collector under node `idx`'s name.
-    #[inline]
-    pub(crate) fn record_node<T: CountTable>(mm: Option<&RunMem>, idx: usize, table: &T) {
-        if let Some(m) = mm {
-            if let Some((_, name)) = m.node[idx].as_ref() {
-                m.collector.record(name, table);
-            }
-        }
     }
 }
 
@@ -336,7 +304,5 @@ mod tests {
             let (_, name) = mm.node[idx as usize].as_ref().unwrap();
             assert!(name.starts_with(&format!("dp.n{idx:02}.")));
         }
-        assert!(RunMem::enter_opt(None, |m| m.iteration).is_none());
-        assert!(RunMem::node_enter_opt(None, 0).is_none());
     }
 }

@@ -1,9 +1,9 @@
 //! Engine-side metric resolution.
 //!
 //! The registry lookup (name → handle) takes a mutex, so the engine does it
-//! exactly once per counting run, before any iteration starts. The hot
-//! loops then carry an `Option<&RunMetrics>`: with metrics absent or
-//! disabled this is `None` and each instrumentation site costs a single
+//! exactly once per counting run, before any iteration starts, into the
+//! run's observer bundle (`observers`): with metrics absent or disabled
+//! the bundle holds `None` and each instrumentation site costs a single
 //! pointer check.
 //!
 //! # Metric names
@@ -37,9 +37,9 @@
 //! | `table.probe.inserts` / `table.probe.steps` | counter | hash-layout insert count and total probe steps |
 //! | `table.probe.max` | gauge | longest hash probe chain seen |
 
+use crate::observers::node_name;
 use fascia_obs::{Counter, Gauge, Histogram, Metrics};
 use fascia_table::{CountTable, TableStats};
-use fascia_template::partition::NodeKind;
 use fascia_template::PartitionTree;
 use std::sync::Arc;
 
@@ -126,13 +126,7 @@ impl RunMetrics {
         let m = m.filter(|m| m.is_enabled())?;
         let mut node_ns: Vec<Option<Arc<Histogram>>> = vec![None; pt.nodes().len()];
         for &idx in pt.unique_order() {
-            let node = &pt.nodes()[idx as usize];
-            let kind = match node.kind {
-                NodeKind::Vertex => "vertex",
-                NodeKind::Triangle { .. } => "triangle",
-                NodeKind::Cut { .. } => "cut",
-            };
-            let name = format!("engine.dp_ns.n{idx:02}.{kind}{}", node.size);
+            let name = node_name(pt, idx).replacen("dp.", "engine.dp_ns.", 1);
             node_ns[idx as usize] = Some(m.histogram(&name));
         }
         Some(Self {

@@ -2,11 +2,11 @@
 //! counterpart of the `trace` module.
 //!
 //! Interning a phase name takes a short mutex, so the engine does it
-//! exactly once per counting run, before any iteration starts. The hot
-//! loops then carry an `Option<&RunProf>`: with profiling absent this is
-//! `None` and each site costs a single pointer check; with profiling
-//! present entering a phase is one relaxed store plus one release
-//! `fetch_add` into the current thread's phase slot.
+//! exactly once per counting run, before any iteration starts, into the
+//! run's observer bundle (`observers`): with profiling absent the bundle
+//! holds `None` and each site costs a single pointer check; with
+//! profiling present entering a phase is one relaxed store plus one
+//! release `fetch_add` into the current thread's phase slot.
 //!
 //! The phase names deliberately match the trace-span taxonomy
 //! (`iteration`, `coloring`, `wave`, `dp.n<idx>.<kind><size>`,
@@ -16,8 +16,8 @@
 //! `table.build` (consuming kernel output into the chosen layout), which
 //! is what the kernel A/B recipe in EXPERIMENTS.md compares.
 
-use fascia_obs::{PhaseGuard, PhaseId, Profiler};
-use fascia_template::partition::NodeKind;
+use crate::observers::node_name;
+use fascia_obs::{PhaseId, Profiler};
 use fascia_template::PartitionTree;
 use std::sync::Arc;
 
@@ -49,14 +49,7 @@ impl RunProf {
         let profiler = Arc::clone(profiler?);
         let mut node: Vec<Option<PhaseId>> = vec![None; pt.nodes().len()];
         for &idx in pt.unique_order() {
-            let n = &pt.nodes()[idx as usize];
-            let kind = match n.kind {
-                NodeKind::Vertex => "vertex",
-                NodeKind::Triangle { .. } => "triangle",
-                NodeKind::Cut { .. } => "cut",
-            };
-            let name = format!("dp.n{idx:02}.{kind}{}", n.size);
-            node[idx as usize] = Some(profiler.intern(&name));
+            node[idx as usize] = Some(profiler.intern(&node_name(pt, idx)));
         }
         Some(Self {
             iteration: profiler.intern("iteration"),
@@ -69,27 +62,6 @@ impl RunProf {
             table_build: profiler.intern("table.build"),
             profiler,
         })
-    }
-
-    /// Publishes a phase if profiling is on — the engine's idiom for
-    /// optional instrumentation (`None` costs one branch).
-    #[inline]
-    pub(crate) fn enter_opt<'a>(
-        pr: Option<&'a RunProf>,
-        pick: impl FnOnce(&RunProf) -> PhaseId,
-    ) -> Option<PhaseGuard<'a>> {
-        pr.map(|p| p.profiler.enter(pick(p)))
-    }
-
-    /// Publishes the per-subtemplate phase for partition node `idx`, if
-    /// both profiling and the node's phase are present.
-    #[inline]
-    pub(crate) fn node_enter_opt<'a>(
-        pr: Option<&'a RunProf>,
-        idx: usize,
-    ) -> Option<PhaseGuard<'a>> {
-        let p = pr?;
-        Some(p.profiler.enter(p.node[idx]?))
     }
 }
 
@@ -111,11 +83,5 @@ mod tests {
         // Re-resolving against the same profiler reuses the intern table.
         let again = RunProf::resolve(Some(&prof), &pt).unwrap();
         assert_eq!(pr.iteration, again.iteration);
-    }
-
-    #[test]
-    fn optional_helpers_noop_when_absent() {
-        assert!(RunProf::enter_opt(None, |p| p.iteration).is_none());
-        assert!(RunProf::node_enter_opt(None, 0).is_none());
     }
 }

@@ -2,10 +2,11 @@
 //! the `metrics` module.
 //!
 //! Interning a trace name takes a short mutex, so the engine does it
-//! exactly once per counting run, before any iteration starts. The hot
-//! loops then carry an `Option<&RunTrace>`: with tracing absent this is
-//! `None` and each site costs a single pointer check; with tracing present
-//! each event is a lock-free push into the recording thread's ring.
+//! exactly once per counting run, before any iteration starts, into the
+//! run's observer bundle (`observers`): with tracing absent the bundle
+//! holds `None` and each site costs a single pointer check; with tracing
+//! present each event is a lock-free push into the recording thread's
+//! ring.
 //!
 //! # Event taxonomy
 //!
@@ -27,8 +28,8 @@
 //! per-thread tracks line up with the per-shard breakdowns of the sharded
 //! counters in the same run's metrics report.
 
-use fascia_obs::{NameId, TraceSpan, Tracer};
-use fascia_template::partition::NodeKind;
+use crate::observers::node_name;
+use fascia_obs::{NameId, Tracer};
 use fascia_template::PartitionTree;
 use std::sync::Arc;
 
@@ -58,14 +59,7 @@ impl RunTrace {
         let tracer = Arc::clone(tracer?);
         let mut node: Vec<Option<NameId>> = vec![None; pt.nodes().len()];
         for &idx in pt.unique_order() {
-            let n = &pt.nodes()[idx as usize];
-            let kind = match n.kind {
-                NodeKind::Vertex => "vertex",
-                NodeKind::Triangle { .. } => "triangle",
-                NodeKind::Cut { .. } => "cut",
-            };
-            let name = format!("dp.n{idx:02}.{kind}{}", n.size);
-            node[idx as usize] = Some(tracer.intern(&name));
+            node[idx as usize] = Some(tracer.intern(&node_name(pt, idx)));
         }
         Some(Self {
             iteration: tracer.intern("iteration"),
@@ -81,37 +75,6 @@ impl RunTrace {
             adaptive_ci: tracer.intern("adaptive.ci_permille"),
             tracer,
         })
-    }
-
-    /// Starts a span if tracing is on — the engine's idiom for optional
-    /// instrumentation (`None` costs one branch).
-    #[inline]
-    pub(crate) fn span_opt<'a>(
-        tr: Option<&'a RunTrace>,
-        pick: impl FnOnce(&RunTrace) -> NameId,
-        arg: u64,
-    ) -> Option<TraceSpan<'a>> {
-        tr.map(|t| t.tracer.span_arg(pick(t), arg))
-    }
-
-    /// Starts the per-subtemplate span for partition node `idx`, if both
-    /// tracing and the node's name are present.
-    #[inline]
-    pub(crate) fn node_span_opt<'a>(tr: Option<&'a RunTrace>, idx: usize) -> Option<TraceSpan<'a>> {
-        let t = tr?;
-        Some(t.tracer.span(t.node[idx]?))
-    }
-
-    /// Records an instant event if tracing is on.
-    #[inline]
-    pub(crate) fn instant_opt(
-        tr: Option<&RunTrace>,
-        pick: impl FnOnce(&RunTrace) -> NameId,
-        arg: u64,
-    ) {
-        if let Some(t) = tr {
-            t.tracer.instant(pick(t), arg);
-        }
     }
 }
 
@@ -133,12 +96,5 @@ mod tests {
         // Node names describe the subtemplate.
         let id = tr.node[pt.unique_order()[0] as usize].unwrap();
         assert!(tracer.name_of(id).starts_with("dp.n"));
-    }
-
-    #[test]
-    fn optional_helpers_noop_when_absent() {
-        assert!(RunTrace::span_opt(None, |t| t.iteration, 0).is_none());
-        assert!(RunTrace::node_span_opt(None, 0).is_none());
-        RunTrace::instant_opt(None, |t| t.cancelled, 0); // must not panic
     }
 }

@@ -22,6 +22,19 @@ cargo test -q --workspace --offline
 echo "=== resilience & fault-injection suites ==="
 cargo test -q --offline --test resilience --test fault_injection
 
+# Single-DP-driver gate: counting, rooted counts, sampling and the
+# distributed simulation all build their tables through the engine's one
+# DP driver. The three pinned tests hold rooted counts, sampled
+# embeddings and distsim's accounting bit for bit; the kernel-equivalence
+# and observe-only suites hold the driver itself.
+echo "=== single DP driver gate ==="
+cargo test -q --offline -p fascia-core --lib -- --exact \
+  engine::tests::rooted_counts_are_pinned \
+  sample::tests::embeddings_are_pinned \
+  distsim::tests::accounting_is_pinned
+cargo test -q --offline --test kernel_equivalence
+cargo test -q --offline -p fascia-core --test est_observability --test mem_observability
+
 # Observability gate: a real count run with --trace must produce valid
 # Perfetto-loadable JSON (parsed with the depth-capped parser, monotone
 # per-tid timestamps), the heartbeat file must keep its stable shape,
