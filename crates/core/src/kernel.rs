@@ -39,9 +39,12 @@
 use crate::engine::{Dp, Stored};
 use crate::metrics::CutMetrics;
 use crate::resilience::POLL_INTERVAL;
-use fascia_table::{CountTable, RowBatch};
+use fascia_graph::Graph;
+use fascia_table::{BandDone, BandRows, BandedBatch, CountTable, RowBatch, StageRows};
 use fascia_template::partition::SubNode;
 use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Which cut-node DP kernel the engine runs.
 ///
@@ -210,9 +213,9 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
     };
 
     // One vertex: gather → accumulate → combine → stage. `v` is the
-    // global vertex id, `slot_v` its id within `batch` (differs only for
+    // global vertex id, `slot` its id within `batch` (differs only for
     // the banded parallel path).
-    let compute = |scratch: &mut Scratch<'t>, batch: &mut RowBatch, v: usize, slot_v: usize| {
+    let compute = |scratch: &mut Scratch<'t>, batch: &mut dyn StageRows, v: usize, slot: usize| {
         // Cooperative cancellation poll (see `triangle_rows_for`); a
         // bailed-out kernel leaves a truncated batch the caller discards.
         if v & (POLL_INTERVAL - 1) == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
@@ -396,33 +399,42 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
             _ => unreachable!("active-single uses removals; larger actives use splits"),
         }
         if nonzero {
-            batch.commit(slot_v);
+            batch.commit(slot);
         }
     };
 
     let n = g.num_vertices();
     if inner_parallel {
-        // Band the vertex range; each worker fills a private batch, and
-        // the in-order concatenation reproduces the serial arena exactly
-        // (rows are independent, so band boundaries cannot change them).
-        let bands = (rayon::current_num_threads() * 4).max(1);
-        let band_len = n.div_ceil(bands).max(64);
-        let n_bands = n.div_ceil(band_len);
-        let parts: Vec<RowBatch> = (0..n_bands)
+        // Band the vertex range by degree weight. Workers claim bands from
+        // the shim's cursor and stage rows in place, each in its band's
+        // region of one shared arena; packing the bands in order
+        // reproduces the serial arena exactly (rows are independent, so
+        // band boundaries cannot change them).
+        let bands = plan_bands(g, rayon::current_num_threads());
+        let mut arena = BandedBatch::new(n, nc_h);
+        let stagers: Vec<Mutex<Option<BandRows>>> = arena
+            .bands(&bands)
+            .into_iter()
+            .map(|b| Mutex::new(Some(b)))
+            .collect();
+        let parts: Vec<BandDone> = (0..bands.len())
             .into_par_iter()
             .map(|b| {
-                let start = b * band_len;
-                let end = (start + band_len).min(n);
-                let mut batch = RowBatch::new(end - start, nc_h);
+                let mut rows = stagers[b]
+                    .lock()
+                    .expect("band stager lock is never held across a panic")
+                    .take()
+                    .expect("each band is claimed once");
                 let mut scratch = Scratch::new();
-                for v in start..end {
-                    compute(&mut scratch, &mut batch, v, v - start);
+                for v in bands[b].clone() {
+                    compute(&mut scratch, &mut rows, v, v - bands[b].start);
                 }
                 scratch.tally.flush(cm);
-                batch
+                rows.finish()
             })
             .collect();
-        RowBatch::concat(n, nc_h, parts)
+        drop(stagers); // ends the (emptied) stagers' borrow of the arena
+        arena.pack(parts)
     } else {
         let mut batch = RowBatch::new(n, nc_h);
         let mut scratch = Scratch::new();
@@ -431,5 +443,108 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
         }
         scratch.tally.flush(cm);
         batch
+    }
+}
+
+/// Bands planned per worker thread. The shim's workers claim bands from a
+/// shared cursor, so spare bands let a worker that drew light ones keep
+/// claiming while another finishes a heavy one.
+const BANDS_PER_THREAD: usize = 16;
+
+/// Fewest vertices per band on average: below this a band's fixed costs
+/// (scratch, arena, claim) stop being negligible next to its rows.
+const MIN_BAND_VERTICES: usize = 64;
+
+/// Cuts `0..n` into contiguous, non-empty vertex bands of about equal work
+/// for the inner-parallel kernel. A vertex's work is `degree(v) + 1` (its
+/// neighbor gather plus its own combine), so the bands follow prefix sums
+/// of that weight over the CSR instead of vertex counts — on degree-skewed
+/// graphs the low ids hold most of the edges.
+///
+/// About `BANDS_PER_THREAD × threads` bands are aimed for, but never more
+/// than one per `MIN_BAND_VERTICES` vertices. A band closes once it reaches
+/// the ideal share of the total weight, or early when the next vertex would
+/// take it past 1.5× that share; so every band stays within 1.5× the share
+/// unless it is a single vertex heavier than that on its own.
+pub(crate) fn plan_bands(g: &Graph, threads: usize) -> Vec<Range<usize>> {
+    let n = g.num_vertices();
+    let target = (threads * BANDS_PER_THREAD)
+        .min(n / MIN_BAND_VERTICES)
+        .max(1);
+    let share = (2 * g.num_edges() + n).div_ceil(target);
+    let cap = share + share / 2;
+    let mut bands = Vec::with_capacity(target + 1);
+    let (mut start, mut weight) = (0, 0);
+    for v in 0..n {
+        let w = g.degree(v) + 1;
+        if weight > 0 && weight + w > cap {
+            bands.push(start..v);
+            (start, weight) = (v, 0);
+        }
+        weight += w;
+        if weight >= share {
+            bands.push(start..v + 1);
+            (start, weight) = (v + 1, 0);
+        }
+    }
+    if start < n {
+        bands.push(start..n);
+    }
+    bands
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fascia_graph::datasets::Dataset;
+
+    fn weight(g: &Graph, band: &Range<usize>) -> usize {
+        band.clone().map(|v| g.degree(v) + 1).sum()
+    }
+
+    /// On a toy Enron-style (Barabási–Albert, degree-skewed) graph the
+    /// bands tile `0..n` in order, none is empty, and none carries more
+    /// than 1.5× the ideal share of the degree weight unless it is a lone
+    /// vertex heavier than that.
+    #[test]
+    fn bands_balance_degree_weight_on_skewed_graph() {
+        let g = Dataset::Enron.generate(16, 3);
+        let n = g.num_vertices();
+        let total = 2 * g.num_edges() + n;
+        for threads in [1, 2, 3, 7] {
+            let bands = plan_bands(&g, threads);
+            let target = (threads * BANDS_PER_THREAD).min(n / MIN_BAND_VERTICES);
+            let share = total.div_ceil(target);
+            assert_eq!(bands.first().map(|b| b.start), Some(0));
+            assert_eq!(bands.last().map(|b| b.end), Some(n));
+            for pair in bands.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "bands must be contiguous");
+            }
+            for band in &bands {
+                assert!(!band.is_empty(), "empty band {band:?}");
+                let w = weight(&g, band);
+                assert!(
+                    2 * w <= 3 * share || band.len() == 1,
+                    "{threads} threads: band {band:?} weighs {w}, share {share}"
+                );
+            }
+        }
+    }
+
+    /// A hub holding most of the edges gets a band of its own; tiny
+    /// graphs get one band; an empty graph gets none.
+    #[test]
+    fn bands_isolate_hubs_and_respect_the_floor() {
+        let n = 400u32;
+        let hub: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
+        let g = Graph::from_edges(n as usize, &hub);
+        let bands = plan_bands(&g, 2);
+        assert_eq!(bands[0], 0..1);
+        assert_eq!(bands.last().map(|b| b.end), Some(n as usize));
+        assert!(bands.iter().all(|b| !b.is_empty()));
+
+        let tiny = fascia_graph::gen::gnm(40, 80, 1);
+        assert_eq!(plan_bands(&tiny, 8), vec![0..40]);
+        assert!(plan_bands(&Graph::from_edges(0, &[]), 2).is_empty());
     }
 }

@@ -174,4 +174,25 @@ mod tests {
         let inside = with_threads(3, rayon::current_num_threads);
         assert_eq!(inside, 3);
     }
+
+    /// Parallel calls nested inside a worker (Hybrid mode's inner loops)
+    /// run at the scoped pool's size, not the machine's.
+    #[test]
+    fn scoped_pool_size_reaches_worker_threads() {
+        use rayon::prelude::*;
+        // Items 0..3 wait until three distinct workers hold one each.
+        let barrier = std::sync::Barrier::new(3);
+        let seen: Vec<usize> = with_threads(3, || {
+            (0..12usize)
+                .into_par_iter()
+                .map(|i| {
+                    if i < 3 {
+                        barrier.wait();
+                    }
+                    rayon::current_num_threads()
+                })
+                .collect()
+        });
+        assert_eq!(seen, vec![3; 12]);
+    }
 }

@@ -30,6 +30,10 @@ use crate::batch::{RowBatch, NO_ROW};
 use crate::{CountTable, Rows, TableKind, TableStats};
 use std::sync::Arc;
 
+/// `from_batch_kind` keeps a staged arena's unused capacity when it is at
+/// most `1 / KEEP_SLACK_DIV` of the block, and shrinks it otherwise.
+const KEEP_SLACK_DIV: usize = 8;
+
 /// Arena-backed per-vertex optional rows.
 #[derive(Debug, Clone)]
 pub struct LazyTable {
@@ -80,9 +84,18 @@ impl CountTable for LazyTable {
         let n = batch.num_vertices();
         let nc = batch.num_colorsets();
         batch.data.truncate(batch.committed * nc);
-        // The arena may carry growth slack from staging; return it so
-        // `bytes()` reports (and the process holds) exactly the rows kept.
-        batch.data.shrink_to_fit();
+        // Return growth slack from staging only when it is worth a block of
+        // its own. Shrinking splits the block in place: small allocations
+        // take the split-off tail, the table's block no longer coalesces
+        // back to full size when it is freed, and the next arena of that
+        // full size does not fit the hole. The banded kernel's `n × nc`
+        // arenas mostly miss a handful of rows; shrinking each one would
+        // grow the heap by about one arena per call. A kept tail is at most
+        // an eighth of the block.
+        let slack = batch.data.capacity() - batch.data.len();
+        if slack > batch.data.capacity() / KEEP_SLACK_DIV {
+            batch.data.shrink_to_fit();
+        }
         Self {
             nc,
             data: batch.data,
@@ -152,8 +165,9 @@ impl CountTable for LazyTable {
     }
 
     fn bytes(&self) -> usize {
-        // Length-based on purpose: `from_batch_kind` shrinks the arena to
-        // its kept rows, and `projected_bytes` mirrors this formula.
+        // Length-based on purpose: the arena may keep a small unused tail
+        // (see `from_batch_kind`), and `projected_bytes` mirrors this
+        // formula.
         self.data.len() * std::mem::size_of::<f64>() + self.slots.len() * std::mem::size_of::<u32>()
     }
 
@@ -274,5 +288,34 @@ mod tests {
         for v in 0..23 {
             assert_eq!(a.row_slice(v), b.row_slice(v), "vertex {v}");
         }
+    }
+
+    /// A banded arena that misses a few rows keeps its full block (so it
+    /// is freed at the size it was allocated); one that misses many is
+    /// shrunk to its rows. `bytes()` counts only the rows either way.
+    #[test]
+    fn from_batch_keeps_a_near_full_arena_and_shrinks_a_sparse_one() {
+        use crate::{BandRows, BandedBatch, StageRows};
+        let packed = |keep: fn(usize) -> bool| {
+            let mut arena = BandedBatch::new(16, 3);
+            let mut stagers = arena.bands(&[0..8, 8..16]);
+            for v in (0..16).filter(|&v| keep(v)) {
+                stagers[v / 8].stage()[0] = v as f64 + 1.0;
+                stagers[v / 8].commit(v % 8);
+            }
+            let parts = stagers.into_iter().map(BandRows::finish).collect();
+            LazyTable::from_batch_kind(TableKind::Lazy, arena.pack(parts))
+        };
+        let near_full = packed(|v| v != 5);
+        assert_eq!(near_full.data.len(), 15 * 3);
+        assert_eq!(near_full.data.capacity(), 16 * 3);
+        assert_eq!(near_full.bytes(), (15 * 3) * 8 + 16 * 4);
+        assert_eq!(near_full.row_slice(6), Some(&[7.0, 0.0, 0.0][..]));
+        assert_eq!(near_full.row_slice(5), None);
+
+        let sparse = packed(|v| v % 2 == 0);
+        assert_eq!(sparse.data.len(), 8 * 3);
+        assert_eq!(sparse.data.capacity(), 8 * 3);
+        assert_eq!(sparse.bytes(), (8 * 3) * 8 + 16 * 4);
     }
 }

@@ -83,7 +83,7 @@ pub use access::{
     access_tracking_enabled, set_access_tracking, AccessRecorder, AccessSnapshot, ACCESS_BUCKETS,
 };
 pub use any::AnyTable;
-pub use batch::RowBatch;
+pub use batch::{BandDone, BandRows, BandedBatch, RowBatch, StageRows};
 pub use dense::DenseTable;
 pub use hashed::HashCountTable;
 pub use lazy::LazyTable;

@@ -35,6 +35,27 @@ cargo test -q --offline -p fascia-core --lib -- --exact \
 cargo test -q --offline --test kernel_equivalence
 cargo test -q --offline -p fascia-core --test est_observability --test mem_observability
 
+# Inner-loop balance gate: the rayon shim hands out grains dynamically
+# (init once per worker, index order kept, panics propagated, nested
+# calls at the installed thread count), the kernel bands vertices by
+# degree weight, bands staged in one shared arena pack into the serial
+# arena, and inner/hybrid runs on degree-skewed graphs stay bitwise
+# equal to the scalar serial series at 1, 2, 3 and 7 threads.
+echo "=== inner-loop balance gate ==="
+cargo test -q --offline -p rayon --lib -- --exact \
+  tests::map_init_runs_init_at_most_once_per_worker \
+  tests::order_is_preserved_under_uneven_item_cost \
+  tests::worker_panic_propagates \
+  tests::nested_calls_see_the_installed_thread_count
+cargo test -q --offline -p fascia-core --lib -- --exact \
+  parallel::tests::scoped_pool_size_reaches_worker_threads \
+  kernel::tests::bands_balance_degree_weight_on_skewed_graph \
+  kernel::tests::bands_isolate_hubs_and_respect_the_floor
+cargo test -q --offline -p fascia-table --lib -- --exact \
+  batch::tests::banded_fill_matches_serial_fill
+cargo test -q --offline --test kernel_equivalence -- --exact \
+  kernels_agree_on_skewed_graphs_across_thread_counts
+
 # Observability gate: a real count run with --trace must produce valid
 # Perfetto-loadable JSON (parsed with the depth-capped parser, monotone
 # per-tid timestamps), the heartbeat file must keep its stable shape,

@@ -3,16 +3,21 @@
 //!
 //! The build environment resolves third-party crates from a mirror that may
 //! be unavailable, so the workspace vendors the surface it needs. Parallel
-//! iterators over integer ranges are executed by splitting the range into
-//! one contiguous chunk per available thread and running the chunks on
-//! `std::thread::scope` workers; results are stitched back in index order,
-//! so `collect()` is deterministic and order-preserving exactly like
-//! rayon's indexed collect.
+//! iterators over integer ranges are executed by up to
+//! [`current_num_threads`] workers (the calling thread plus
+//! `std::thread::scope` workers) that claim fixed-size grains of the index
+//! range from one shared atomic cursor until it runs dry, so a worker that
+//! draws cheap items simply claims more of them. Results are stitched back
+//! in index order, so `collect()` is deterministic and order-preserving
+//! exactly like rayon's indexed collect. Each spawned worker inherits the
+//! caller's thread count, so nested parallel calls see the installed pool
+//! size.
 //!
 //! Differences from real rayon, none of which matter to this workspace:
-//! there is no work stealing (chunking is static), pools are sizes rather
-//! than actual resident worker threads, and only `Range<usize>` /
-//! `Range<u64>` are parallelizable sources.
+//! there is no work stealing below the grain (a claimed grain runs to
+//! completion on its worker), pools are sizes rather than actual resident
+//! worker threads, and only `Range<usize>` / `Range<u32>` / `Range<u64>`
+//! are parallelizable sources.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -83,7 +88,8 @@ pub struct ThreadPool {
 
 impl ThreadPool {
     /// Runs `f` with this pool's thread count governing all parallel
-    /// iterators (and [`current_num_threads`]) on the calling thread.
+    /// iterators (and [`current_num_threads`]) on the calling thread and
+    /// in every worker those iterators spawn.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         let prev = POOL_THREADS.with(|t| t.replace(self.num_threads));
         let out = f();
@@ -105,8 +111,9 @@ pub mod prelude {
 pub mod iter {
     //! Parallel iterators over integer ranges.
 
-    use super::current_num_threads;
+    use super::{current_num_threads, POOL_THREADS};
     use std::ops::Range;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Conversion into a parallel iterator.
     pub trait IntoParallelIterator {
@@ -136,7 +143,8 @@ pub mod iter {
         }
 
         /// Maps with a per-worker scratch value built by `init` (rayon's
-        /// `map_init`): `init` runs once per worker chunk, not per item.
+        /// `map_init`): `init` runs at most once per worker, however many
+        /// grains that worker claims, never once per item.
         fn map_init<I, T, INIT, F>(self, init: INIT, f: F) -> MapInit<Self, INIT, F>
         where
             INIT: Fn() -> I + Sync,
@@ -224,32 +232,68 @@ pub mod iter {
         f: F,
     }
 
-    /// Splits `0..len` into at most `current_num_threads()` contiguous
-    /// chunks and runs `work` on each chunk in a scoped thread, returning
-    /// per-chunk outputs in order.
-    fn run_chunked<T: Send>(len: usize, work: &(dyn Fn(Range<usize>) -> Vec<T> + Sync)) -> Vec<T> {
-        let threads = current_num_threads().max(1).min(len.max(1));
-        if threads <= 1 || len <= 1 {
-            return work(0..len);
+    /// Grains each worker's share of the range is cut into: enough that a
+    /// worker finishing early finds more to claim, few enough that the
+    /// cursor and per-grain result vectors cost nothing next to the work.
+    const GRAINS_PER_THREAD: usize = 16;
+
+    /// Evaluates `f(&mut scratch, i)` for every `i` in `0..len` on up to
+    /// `current_num_threads()` workers and returns the results in index
+    /// order. Workers claim grains from one atomic cursor until it passes
+    /// `len`; each builds its scratch with `init` once, when it starts, so
+    /// `init` runs at most once per worker. A worker panic is resumed on
+    /// the caller with its original payload.
+    fn run_claimed<S, T, INIT, F>(len: usize, init: INIT, f: F) -> Vec<T>
+    where
+        T: Send,
+        INIT: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> T + Sync,
+    {
+        let pool = current_num_threads().max(1);
+        let threads = pool.min(len);
+        if threads <= 1 {
+            let mut scratch = init();
+            return (0..len).map(|i| f(&mut scratch, i)).collect();
         }
-        let chunk = len.div_ceil(threads);
-        let bounds: Vec<Range<usize>> = (0..threads)
-            .map(|t| (t * chunk).min(len)..((t + 1) * chunk).min(len))
-            .filter(|r| !r.is_empty())
-            .collect();
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(bounds.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
-                .into_iter()
-                .map(|r| scope.spawn(move || work(r)))
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("parallel worker panicked"));
+        let grain = len.div_ceil(threads * GRAINS_PER_THREAD);
+        let cursor = AtomicUsize::new(0);
+        // One worker's claimed grains, each tagged with its first index.
+        let worker = || {
+            let mut scratch = init();
+            let mut grains: Vec<(usize, Vec<T>)> = Vec::new();
+            loop {
+                // Relaxed: the cursor only hands out disjoint index ranges;
+                // results travel back through the scope's joins.
+                let start = cursor.fetch_add(grain, Ordering::Relaxed);
+                if start >= len {
+                    return grains;
+                }
+                let end = (start + grain).min(len);
+                grains.push((start, (start..end).map(|i| f(&mut scratch, i)).collect()));
             }
+        };
+        let mut grains = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        POOL_THREADS.with(|t| t.set(pool));
+                        worker()
+                    })
+                })
+                .collect();
+            let mut all = worker();
+            for h in handles {
+                match h.join() {
+                    Ok(part) => all.extend(part),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            all
         });
+        grains.sort_unstable_by_key(|&(start, _)| start);
         let mut out = Vec::with_capacity(len);
-        for p in parts {
-            out.extend(p);
+        for (_, part) in grains {
+            out.extend(part);
         }
         out
     }
@@ -265,12 +309,9 @@ pub mod iter {
 
                 fn drive(self) -> Vec<T> {
                     let start = self.base.range.start;
-                    let end = self.base.range.end;
-                    let len = (end - start) as usize;
+                    let len = (self.base.range.end - start) as usize;
                     let f = &self.f;
-                    run_chunked(len, &move |r: Range<usize>| {
-                        r.map(|i| f(start + i as $ty)).collect()
-                    })
+                    run_claimed(len, || (), |_, i| f(start + i as $ty))
                 }
             }
 
@@ -284,14 +325,9 @@ pub mod iter {
 
                 fn drive(self) -> Vec<T> {
                     let start = self.base.range.start;
-                    let end = self.base.range.end;
-                    let len = (end - start) as usize;
-                    let init = &self.init;
+                    let len = (self.base.range.end - start) as usize;
                     let f = &self.f;
-                    run_chunked(len, &move |r: Range<usize>| {
-                        let mut scratch = init();
-                        r.map(|i| f(&mut scratch, start + i as $ty)).collect()
-                    })
+                    run_claimed(len, &self.init, |scratch, i| f(scratch, start + i as $ty))
                 }
             }
         };
@@ -341,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn map_init_reuses_scratch_within_chunk() {
+    fn map_init_reuses_scratch_within_worker() {
         let v: Vec<usize> = (0..1000usize)
             .into_par_iter()
             .map_init(Vec::<usize>::new, |scratch, i| {
@@ -350,6 +386,96 @@ mod tests {
             })
             .collect();
         assert_eq!(v, (0..1000).collect::<Vec<_>>());
+    }
+
+    fn pool(threads: usize) -> ThreadPool {
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn map_init_runs_init_at_most_once_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2, 3, 7] {
+            let inits = AtomicUsize::new(0);
+            let v: Vec<usize> = pool(threads).install(|| {
+                (0..5_000usize)
+                    .into_par_iter()
+                    .map_init(
+                        || {
+                            inits.fetch_add(1, Ordering::Relaxed);
+                        },
+                        |_, i| i,
+                    )
+                    .collect()
+            });
+            assert_eq!(v, (0..5_000).collect::<Vec<_>>());
+            let inits = inits.into_inner();
+            assert!(
+                (1..=threads).contains(&inits),
+                "{inits} init calls on {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn order_is_preserved_under_uneven_item_cost() {
+        // Early items are far more expensive than late ones, so workers
+        // finish their grains out of index order.
+        let cost = |i: usize| if i < 40 { 20_000 } else { 10 };
+        let v: Vec<u64> = pool(3).install(|| {
+            (0..400usize)
+                .into_par_iter()
+                .map(|i| {
+                    let mut x = i as u64;
+                    for _ in 0..cost(i) {
+                        x = std::hint::black_box(
+                            x.wrapping_mul(6364136223846793005).wrapping_add(1),
+                        );
+                    }
+                    std::hint::black_box(x);
+                    i as u64
+                })
+                .collect()
+        });
+        assert_eq!(v, (0..400u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "worker boom")]
+    fn worker_panic_propagates() {
+        pool(3).install(|| {
+            (0..64usize)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 63 {
+                        panic!("worker boom");
+                    }
+                    i
+                })
+                .collect::<Vec<_>>()
+        });
+    }
+
+    #[test]
+    fn nested_calls_see_the_installed_thread_count() {
+        // Three parties: items 0..3 block until three distinct workers
+        // hold one each, so spawned workers are certain to report.
+        let barrier = std::sync::Barrier::new(3);
+        let seen: Vec<usize> = pool(3).install(|| {
+            (0..24usize)
+                .into_par_iter()
+                .map(|i| {
+                    if i < 3 {
+                        barrier.wait();
+                    }
+                    current_num_threads()
+                })
+                .collect()
+        });
+        assert!(seen.iter().all(|&t| t == 3), "{seen:?}");
     }
 
     #[test]

@@ -147,6 +147,91 @@ fn kernels_agree_across_partition_strategies() {
     }
 }
 
+/// The cut-kernel work counters of one run, in a fixed order.
+const CUT_COUNTERS: [&str; 4] = [
+    "cut.roots.visited",
+    "cut.roots.skipped",
+    "cut.neighbors.visited",
+    "cut.neighbors.skipped",
+];
+
+/// Per-iteration series and cut-counter totals of one metered run.
+fn run_metered(
+    g: &Graph,
+    t: &Template,
+    kernel: KernelKind,
+    table: TableKind,
+    parallel: ParallelMode,
+) -> (Vec<f64>, [u64; 4]) {
+    let registry = std::sync::Arc::new(Metrics::new());
+    let cfg = CountConfig {
+        iterations: 3,
+        kernel,
+        table,
+        parallel,
+        seed: 29,
+        metrics: Some(std::sync::Arc::clone(&registry)),
+        ..CountConfig::default()
+    };
+    let series = count_template(g, t, &cfg).unwrap().per_iteration;
+    (series, CUT_COUNTERS.map(|c| registry.counter(c).get()))
+}
+
+/// One vertex joined to every other, a short path among the first ids and
+/// degree-1 leaves after them: the hub sits mid-range, so degree-weighted
+/// band boundaries fall on both sides of it.
+fn hub_star(n: u32) -> Graph {
+    let hub = n / 2;
+    let mut edges: Vec<(u32, u32)> = (0..n).filter(|&v| v != hub).map(|v| (hub, v)).collect();
+    edges.extend((1..n / 5).map(|v| (v - 1, v)));
+    Graph::from_edges(n as usize, &edges)
+}
+
+/// Inner-loop and hybrid runs band the vertex loop by degree weight and
+/// hand bands out dynamically; on degree-skewed graphs (a Barabási–Albert
+/// graph and a hub star) every thread count, kernel and layout must
+/// reproduce the scalar serial series bit for bit and the serial run's
+/// cut-counter totals exactly.
+#[test]
+fn kernels_agree_on_skewed_graphs_across_thread_counts() {
+    let graphs = [
+        (
+            "barabasi_albert",
+            fascia::graph::gen::barabasi_albert(700, 3, 0, 41),
+        ),
+        ("hub_star", hub_star(480)),
+    ];
+    let templates = [
+        Template::path(5),
+        Template::star(5),
+        NamedTemplate::U5_2.template(),
+    ];
+    for (name, g) in &graphs {
+        for t in &templates {
+            for table in TableKind::all() {
+                let (reference, counters) =
+                    run_metered(g, t, KernelKind::Scalar, table, ParallelMode::Serial);
+                for threads in [1, 2, 3, 7] {
+                    for parallel in [ParallelMode::InnerLoop, ParallelMode::Hybrid] {
+                        for kernel in KernelKind::all() {
+                            let (series, seen) = with_threads(threads, || {
+                                run_metered(g, t, kernel, table, parallel)
+                            });
+                            let at = format!(
+                                "{name} {t:?} {table:?} {parallel:?} {kernel:?} x{threads}"
+                            );
+                            let bits =
+                                |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&series), bits(&reference), "series: {at}");
+                            assert_eq!(seen, counters, "cut counters: {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (12usize..48, 1u64..2000).prop_map(|(n, seed)| {
         let m = (n * 3).min(n * (n - 1) / 2);
