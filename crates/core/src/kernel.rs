@@ -93,31 +93,6 @@ impl std::str::FromStr for KernelKind {
 /// rows stream through.
 const COL_BLOCK: usize = 512;
 
-/// Requests every cache line of a gathered row ahead of the accumulation
-/// pass. The neighbor gather is the latency wall of the whole DP: rows
-/// land at random arena offsets, so each visit is a likely cache miss.
-/// Splitting gather from accumulate means we know all of a vertex's row
-/// addresses up front — prefetching them back-to-back overlaps the misses
-/// instead of paying them serially inside the add loop. No-op off x86-64.
-#[inline(always)]
-fn prefetch_row(r: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let ptr = r.as_ptr().cast::<i8>();
-        let bytes = std::mem::size_of_val(r);
-        let mut off = 0;
-        while off < bytes {
-            // Safety: prefetch is a hint; it never faults and `ptr + off`
-            // stays inside the row slice.
-            unsafe { _mm_prefetch(ptr.add(off), _MM_HINT_T0) };
-            off += 64;
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = r;
-}
-
 /// Per-worker scratch of the vectorized kernel, reused across vertices so
 /// the hot loop never allocates.
 struct Scratch<'t> {
@@ -128,8 +103,6 @@ struct Scratch<'t> {
     act_buf: Vec<f64>,
     /// Gathered neighbor-row slices, in neighbor order.
     nbr_rows: Vec<&'t [f64]>,
-    /// Active neighbors awaiting a batched probe (hash layout only).
-    probe_vs: Vec<u32>,
     /// Integer color-occurrence counts for single-vertex passive children.
     cnt_buf: Vec<u32>,
     /// Local cut-counter tallies (flushed once per band).
@@ -142,7 +115,6 @@ impl<'t> Scratch<'t> {
             pas_acc: Vec::new(),
             act_buf: Vec::new(),
             nbr_rows: Vec::new(),
-            probe_vs: Vec::new(),
             cnt_buf: Vec::new(),
             tally: Tally::default(),
         }
@@ -227,7 +199,6 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
             pas_acc,
             act_buf,
             nbr_rows,
-            probe_vs,
             cnt_buf,
             tally,
         } = scratch;
@@ -257,7 +228,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                         // the scalar kernel).
                         act_buf.clear();
                         act_buf.resize(nc_a, 0.0);
-                        tb.add_row_into(v, act_buf);
+                        tb.add_rows_into(&[v as u32], act_buf);
                         &act_buf[..]
                     }
                 })
@@ -299,22 +270,14 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 }
             }
             Stored::Table(tb) if tb.has_row_slices() => {
-                // Slice-backed layouts (dense/lazy): one probe serves as
-                // both the activity check and the row read, and the
-                // prefetch starts each row's lines loading while the rest
-                // of the gather runs. Addition order (below) is exactly
-                // the scalar kernel's neighbor order.
+                // Slice-backed layouts (dense/lazy): one call gathers the
+                // neighborhood's rows (the activity check and the row read
+                // in one) and prefetches each, so their misses overlap.
+                // Addition order (below) is exactly the scalar kernel's
+                // neighbor order.
                 nbr_rows.clear();
-                for &u in g.neighbors(v) {
-                    match tb.row_slice(u as usize) {
-                        Some(s) => {
-                            prefetch_row(s);
-                            nbr_rows.push(s);
-                            nbr_visited += 1;
-                        }
-                        None => nbr_skipped += 1,
-                    }
-                }
+                nbr_skipped = tb.gather_rows(g.neighbors(v), nbr_rows) as u64;
+                nbr_visited = nbr_rows.len() as u64;
                 if nc_p <= COL_BLOCK {
                     // Common case: the whole row is one block — skip the
                     // chunk bookkeeping. Per-slot addition order is the
@@ -338,23 +301,12 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 }
             }
             Stored::Table(tb) => {
-                // Hash layout: no contiguous rows to gather. Collect the
-                // active neighbors first — the hint starts each probe
-                // window loading — then batch-probe in neighbor order.
-                probe_vs.clear();
-                for &u in g.neighbors(v) {
-                    let u = u as usize;
-                    if tb.vertex_active(u) {
-                        tb.prefetch_row_hint(u);
-                        probe_vs.push(u as u32);
-                        nbr_visited += 1;
-                    } else {
-                        nbr_skipped += 1;
-                    }
-                }
-                for &u in probe_vs.iter() {
-                    tb.add_row_into(u as usize, pas_acc);
-                }
+                // Hash layout: no contiguous rows to gather. One call
+                // hints every active neighbor's probe window, then
+                // batch-probes them in neighbor order.
+                let nbrs = g.neighbors(v);
+                nbr_skipped = tb.add_rows_into(nbrs, pas_acc) as u64;
+                nbr_visited = (nbrs.len() - nbr_skipped as usize) as u64;
             }
         }
         tally.neighbors_visited += nbr_visited;

@@ -95,9 +95,7 @@ impl AccessRecorder {
     #[inline]
     pub(crate) fn note_get(&self, v: usize) {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.touch.get(v) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
+        self.note_touch(v, 1);
         self.note_stride(v);
     }
 
@@ -111,17 +109,38 @@ impl AccessRecorder {
     #[inline]
     pub(crate) fn note_row_read(&self, v: usize) {
         self.row_reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.touch.get(v) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
+        self.note_touch(v, 1);
         self.note_stride(v);
     }
 
     /// A hashed lookup that walked a probe chain of `chain` slots.
     #[inline]
     pub(crate) fn note_probe(&self, chain: u64) {
-        let bucket = (chain.saturating_sub(1) as usize).min(ACCESS_BUCKETS - 1);
-        self.probe_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.probe_hist[probe_bucket(chain)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn note_touch(&self, v: usize, times: u32) {
+        if let Some(slot) = self.touch.get(v) {
+            slot.fetch_add(times, Ordering::Relaxed);
+        }
+    }
+
+    /// Starts a bulk read (a whole neighborhood, or one hashed row) whose
+    /// counters are kept in plain locals until [`AccessTally::flush`].
+    #[inline]
+    pub(crate) fn tally(&self) -> AccessTally<'_> {
+        let last = self.last_vertex.load(Ordering::Relaxed);
+        AccessTally {
+            rec: self,
+            gets: 0,
+            inactive_skips: 0,
+            row_reads: 0,
+            sequential: 0,
+            scattered: 0,
+            last,
+            probe_hist: [0; ACCESS_BUCKETS],
+        }
     }
 
     /// Point-in-time snapshot of every counter.
@@ -154,13 +173,113 @@ impl AccessRecorder {
     }
 }
 
+#[inline]
+fn probe_bucket(chain: u64) -> usize {
+    (chain.saturating_sub(1) as usize).min(ACCESS_BUCKETS - 1)
+}
+
+/// The counters of one bulk read, tallied in plain locals and added to
+/// the recorder by one [`flush`](AccessTally::flush).
+///
+/// Each locked read-modify-write on the shared recorder is a full
+/// barrier, so recording per slot or per row serializes the prefetched
+/// gather it observes. A tally pays a handful of them per call instead:
+/// one per non-zero counter and probe bucket, plus one per row read for
+/// its `touch` count (which stays exact). Strides are classified against
+/// the recorder's last vertex as the call found it, and the call's last
+/// vertex is stored back on flush; in a serial run this gives the same
+/// snapshot as recording every access on its own. Concurrent calls may
+/// interleave their strides differently, but never lose or double one.
+pub(crate) struct AccessTally<'r> {
+    rec: &'r AccessRecorder,
+    gets: u64,
+    inactive_skips: u64,
+    row_reads: u64,
+    sequential: u64,
+    scattered: u64,
+    last: u64,
+    probe_hist: [u64; ACCESS_BUCKETS],
+}
+
+impl AccessTally<'_> {
+    /// Classifies `times` consecutive accesses of vertex `v`.
+    #[inline]
+    fn stride(&mut self, v: usize, times: u64) {
+        if times == 0 {
+            return;
+        }
+        let v = v as u64;
+        let prev = self.last;
+        if v == prev || (prev != NO_VERTEX && v == prev + 1) {
+            self.sequential += 1;
+        } else {
+            self.scattered += 1;
+        }
+        // Every repeat follows the same vertex.
+        self.sequential += times - 1;
+        self.last = v;
+    }
+
+    /// `count` activity checks that found their vertex inactive.
+    #[inline]
+    pub(crate) fn inactive(&mut self, count: usize) {
+        self.inactive_skips += count as u64;
+    }
+
+    /// One whole-row read of vertex `v` (as [`AccessRecorder::note_row_read`]).
+    #[inline]
+    pub(crate) fn row_read(&mut self, v: usize) {
+        self.row_reads += 1;
+        self.rec.note_touch(v, 1);
+        self.stride(v, 1);
+    }
+
+    /// A hashed row read of vertex `v`: one point lookup per colorset
+    /// slot, `slots` in all (as that many [`AccessRecorder::note_get`]s).
+    #[inline]
+    pub(crate) fn row_gets(&mut self, v: usize, slots: usize) {
+        self.gets += slots as u64;
+        self.rec.note_touch(v, slots as u32);
+        self.stride(v, slots as u64);
+    }
+
+    /// A hashed lookup that walked a probe chain of `chain` slots.
+    #[inline]
+    pub(crate) fn probe(&mut self, chain: u64) {
+        self.probe_hist[probe_bucket(chain)] += 1;
+    }
+
+    /// Adds the tallied counters to the recorder.
+    pub(crate) fn flush(self) {
+        let rec = self.rec;
+        let add = |counter: &AtomicU64, n: u64| {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        add(&rec.gets, self.gets);
+        add(&rec.inactive_skips, self.inactive_skips);
+        add(&rec.row_reads, self.row_reads);
+        add(&rec.sequential, self.sequential);
+        add(&rec.scattered, self.scattered);
+        for (counter, &n) in rec.probe_hist.iter().zip(&self.probe_hist) {
+            add(counter, n);
+        }
+        if self.sequential + self.scattered != 0 {
+            rec.last_vertex.store(self.last, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Frozen view of a recorder, carried in [`TableStats::access`].
 ///
 /// [`TableStats::access`]: crate::TableStats::access
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessSnapshot {
-    /// Point lookups served ([`CountTable::get`] on an active vertex for
-    /// the hashed layout; every `get` for dense/lazy).
+    /// Point lookups served: every [`CountTable::get`] for dense, a `get`
+    /// on an active vertex for lazy and hashed (on an inactive one they
+    /// count an `inactive_skip`). A hashed row read counts one lookup per
+    /// colorset slot.
     ///
     /// [`CountTable::get`]: crate::CountTable::get
     pub gets: u64,
@@ -237,6 +356,60 @@ mod tests {
                 assert_eq!(s.probe_hist.iter().sum::<u64>(), 0, "{kind:?}");
             }
         }
+        // The per-neighborhood calls record what the per-row sequence they
+        // replace records, call by call: an empty neighborhood, duplicate
+        // and inactive neighbors (`sample_rows` leaves every third vertex
+        // inactive), and strides that carry over from one call to the next
+        // (6 → 7, then 9 → 9).
+        let calls: [&[u32]; 7] = [
+            &[],
+            &[4, 4, 5, 4],
+            &[2, 3, 5, 8, 11],
+            &[6],
+            &[7, 9],
+            &[9],
+            &[],
+        ];
+        for kind in TableKind::all() {
+            let bulk = AnyTable::from_rows_kind(kind, n, nc, sample_rows(n, nc));
+            let per_row = AnyTable::from_rows_kind(kind, n, nc, sample_rows(n, nc));
+            for vs in calls {
+                let inactive = vs.iter().filter(|&&v| v % 3 == 2).count();
+                if bulk.has_row_slices() {
+                    let mut rows = Vec::new();
+                    assert_eq!(bulk.gather_rows(vs, &mut rows), inactive, "{kind:?} {vs:?}");
+                    let expect: Vec<&[f64]> = vs
+                        .iter()
+                        .filter_map(|&v| per_row.row_slice(v as usize))
+                        .collect();
+                    assert_eq!(rows, expect, "{kind:?} {vs:?}");
+                } else {
+                    let mut acc = vec![0.0; nc];
+                    assert_eq!(
+                        bulk.add_rows_into(vs, &mut acc),
+                        inactive,
+                        "{kind:?} {vs:?}"
+                    );
+                    let mut expect = vec![0.0; nc];
+                    for &v in vs {
+                        if per_row.vertex_active(v as usize) {
+                            for (cs, e) in expect.iter_mut().enumerate() {
+                                *e += per_row.get(v as usize, cs);
+                            }
+                        }
+                    }
+                    assert_eq!(acc, expect, "{kind:?} {vs:?}");
+                }
+                assert_eq!(
+                    bulk.stats().access,
+                    per_row.stats().access,
+                    "{kind:?} after {vs:?}"
+                );
+            }
+            let s = bulk.stats().access.expect("tracking is on");
+            assert!(s.sequential > 0 && s.scattered > 0 && s.inactive_skips > 0);
+        }
+
         set_access_tracking(false);
         let t = AnyTable::from_rows_kind(TableKind::Lazy, n, nc, sample_rows(n, nc));
         assert!(t.stats().access.is_none(), "built after disabling");

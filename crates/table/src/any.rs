@@ -86,13 +86,13 @@ impl CountTable for AnyTable {
     }
 
     #[inline]
-    fn add_row_into(&self, v: usize, acc: &mut [f64]) {
-        dispatch!(self, t => t.add_row_into(v, acc))
+    fn gather_rows<'a>(&'a self, vs: &[u32], rows: &mut Vec<&'a [f64]>) -> usize {
+        dispatch!(self, t => t.gather_rows(vs, rows))
     }
 
     #[inline]
-    fn prefetch_row_hint(&self, v: usize) {
-        dispatch!(self, t => t.prefetch_row_hint(v))
+    fn add_rows_into(&self, vs: &[u32], acc: &mut [f64]) -> usize {
+        dispatch!(self, t => t.add_rows_into(vs, acc))
     }
 
     fn bytes(&self) -> usize {

@@ -6,7 +6,7 @@
 //! lazy and hashed layouts.
 
 use crate::access::{recorder_for, AccessRecorder};
-use crate::{CountTable, RowBatch, Rows, TableKind, TableStats};
+use crate::{gather_slices, CountTable, RowBatch, Rows, TableKind, TableStats};
 use std::sync::Arc;
 
 /// Flat row-major `n x Nc` array of counts.
@@ -20,6 +20,14 @@ pub struct DenseTable {
     active: Vec<bool>,
     /// Opt-in access telemetry; excluded from `bytes()` accounting.
     access: Option<Arc<AccessRecorder>>,
+}
+
+impl DenseTable {
+    /// Row of an active vertex, without access telemetry.
+    #[inline]
+    fn row(&self, v: usize) -> Option<&[f64]> {
+        self.active[v].then(|| &self.data[v * self.nc..(v + 1) * self.nc])
+    }
 }
 
 impl CountTable for DenseTable {
@@ -98,19 +106,20 @@ impl CountTable for DenseTable {
 
     #[inline]
     fn row_slice(&self, v: usize) -> Option<&[f64]> {
-        if self.active[v] {
-            if let Some(rec) = &self.access {
-                rec.note_row_read(v);
+        let row = self.row(v);
+        if let Some(rec) = &self.access {
+            match row {
+                Some(_) => rec.note_row_read(v),
+                // A slice miss doubles as the activity check (see
+                // `CountTable::has_row_slices`), so account it as one.
+                None => rec.note_inactive(),
             }
-            Some(&self.data[v * self.nc..(v + 1) * self.nc])
-        } else {
-            // A slice miss doubles as the activity check (see
-            // `CountTable::has_row_slices`), so account it as one.
-            if let Some(rec) = &self.access {
-                rec.note_inactive();
-            }
-            None
         }
+        row
+    }
+
+    fn gather_rows<'a>(&'a self, vs: &[u32], rows: &mut Vec<&'a [f64]>) -> usize {
+        gather_slices(self.access.as_deref(), vs, rows, |v| self.row(v))
     }
 
     fn bytes(&self) -> usize {

@@ -72,6 +72,64 @@ impl HashCountTable {
         }
     }
 
+    /// Adds active vertex `v`'s row into `acc`, reporting each slot's probe
+    /// chain length to `chain`. The keys of one row are consecutive
+    /// (`v*nc .. v*nc+nc`), and `key mod size` maps consecutive keys to
+    /// consecutive home slots — so the division happens once per row and
+    /// each subsequent home slot is a wrapping increment. Probe chains and
+    /// results are identical to `acc.len()` separate
+    /// [`CountTable::get`] calls.
+    #[inline]
+    fn probe_row(&self, v: usize, acc: &mut [f64], mut chain: impl FnMut(u64)) {
+        let base = (v * self.nc) as u64;
+        let mut home = (base % self.capacity as u64) as usize;
+        for (cs, a) in acc.iter_mut().enumerate() {
+            let key = base + cs as u64;
+            let mut i = home;
+            let mut len = 1u64;
+            loop {
+                let k = self.keys[i];
+                if k == key {
+                    *a += self.vals[i];
+                    break;
+                }
+                if k == EMPTY {
+                    break;
+                }
+                len += 1;
+                i += 1;
+                if i == self.capacity {
+                    i = 0;
+                }
+            }
+            chain(len);
+            home += 1;
+            if home == self.capacity {
+                home = 0;
+            }
+        }
+    }
+
+    /// Prefetches the probe window a row's consecutive home slots land in.
+    /// No-op off x86-64.
+    #[inline]
+    fn prefetch_window(&self, v: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let home = ((v * self.nc) as u64 % self.capacity as u64) as usize;
+            // The row's nc home slots start here; one line of keys and one
+            // of values covers the short chains of a half-loaded table.
+            // Safety: prefetch is a hint and the indices are in bounds.
+            unsafe {
+                _mm_prefetch(self.keys.as_ptr().add(home).cast::<i8>(), _MM_HINT_T0);
+                _mm_prefetch(self.vals.as_ptr().add(home).cast::<i8>(), _MM_HINT_T0);
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = v;
+    }
+
     /// Number of live (non-zero) entries.
     pub fn live_entries(&self) -> usize {
         self.live
@@ -231,75 +289,44 @@ impl CountTable for HashCountTable {
         false
     }
 
-    /// Batched row accumulation: the keys of one row are consecutive
-    /// (`v*nc .. v*nc+nc`), and `key mod size` maps consecutive keys to
-    /// consecutive home slots — so the division happens once per row and
-    /// each subsequent home slot is a wrapping increment. Probe chains and
-    /// results are identical to `nc` separate [`CountTable::get`] calls.
-    fn add_row_into(&self, v: usize, acc: &mut [f64]) {
-        if !self.active[v] {
-            if let Some(rec) = &self.access {
-                // The per-slot default would hit the inactive check once
-                // per colorset; keep the telemetry identical.
-                for _ in 0..acc.len() {
-                    rec.note_inactive();
-                }
-            }
-            return;
-        }
-        let base = (v * self.nc) as u64;
-        let mut home = (base % self.capacity as u64) as usize;
-        for (cs, a) in acc.iter_mut().enumerate() {
-            let key = base + cs as u64;
-            let mut i = home;
-            let mut chain = 1u64;
-            loop {
-                let k = self.keys[i];
-                if k == key {
-                    *a += self.vals[i];
-                    break;
-                }
-                if k == EMPTY {
-                    break;
-                }
-                chain += 1;
-                i += 1;
-                if i == self.capacity {
-                    i = 0;
-                }
-            }
-            if let Some(rec) = &self.access {
-                rec.note_get(v);
-                rec.note_probe(chain);
-            }
-            home += 1;
-            if home == self.capacity {
-                home = 0;
+    /// Batched row accumulation over a neighborhood. The first pass counts
+    /// the inactive vertices and hints every active row's probe window, so
+    /// the windows load while the probes run; the second probes the active
+    /// rows in the order of `vs`, one hash computation per row. With
+    /// a recorder, the lookups, strides and probe chains are tallied in
+    /// locals and flushed once per call.
+    fn add_rows_into(&self, vs: &[u32], acc: &mut [f64]) -> usize {
+        let mut skipped = 0;
+        for &v in vs {
+            let v = v as usize;
+            if self.active[v] {
+                self.prefetch_window(v);
+            } else {
+                skipped += 1;
             }
         }
-    }
-
-    /// Prefetches the probe window a row's consecutive home slots land in,
-    /// so a later [`CountTable::add_row_into`] finds the key and value
-    /// lines resident. No-op off x86-64.
-    fn prefetch_row_hint(&self, v: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            if !self.active[v] {
-                return;
+        match &self.access {
+            None => {
+                for &v in vs {
+                    if self.active[v as usize] {
+                        self.probe_row(v as usize, acc, |_| {});
+                    }
+                }
             }
-            let home = ((v * self.nc) as u64 % self.capacity as u64) as usize;
-            // The row's nc home slots start here; one line of keys and one
-            // of values covers the short chains of a half-loaded table.
-            // Safety: prefetch is a hint and the indices are in bounds.
-            unsafe {
-                _mm_prefetch(self.keys.as_ptr().add(home).cast::<i8>(), _MM_HINT_T0);
-                _mm_prefetch(self.vals.as_ptr().add(home).cast::<i8>(), _MM_HINT_T0);
+            Some(rec) => {
+                let mut tally = rec.tally();
+                tally.inactive(skipped);
+                for &v in vs {
+                    let v = v as usize;
+                    if self.active[v] {
+                        self.probe_row(v, acc, |chain| tally.probe(chain));
+                        tally.row_gets(v, acc.len());
+                    }
+                }
+                tally.flush();
             }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = v;
+        skipped
     }
 
     fn bytes(&self) -> usize {

@@ -27,7 +27,7 @@
 
 use crate::access::{recorder_for, AccessRecorder};
 use crate::batch::{RowBatch, NO_ROW};
-use crate::{CountTable, Rows, TableKind, TableStats};
+use crate::{gather_slices, CountTable, Rows, TableKind, TableStats};
 use std::sync::Arc;
 
 /// `from_batch_kind` keeps a staged arena's unused capacity when it is at
@@ -44,6 +44,20 @@ pub struct LazyTable {
     slots: Vec<u32>,
     /// Opt-in access telemetry; excluded from `bytes()` accounting.
     access: Option<Arc<AccessRecorder>>,
+}
+
+impl LazyTable {
+    /// Arena row of an active vertex, without access telemetry.
+    #[inline]
+    fn row(&self, v: usize) -> Option<&[f64]> {
+        match self.slots[v] {
+            NO_ROW => None,
+            slot => {
+                let start = slot as usize * self.nc;
+                Some(&self.data[start..start + self.nc])
+            }
+        }
+    }
 }
 
 impl CountTable for LazyTable {
@@ -145,23 +159,20 @@ impl CountTable for LazyTable {
 
     #[inline]
     fn row_slice(&self, v: usize) -> Option<&[f64]> {
-        match self.slots[v] {
-            NO_ROW => {
+        let row = self.row(v);
+        if let Some(rec) = &self.access {
+            match row {
+                Some(_) => rec.note_row_read(v),
                 // A slice miss doubles as the activity check (see
                 // `CountTable::has_row_slices`), so account it as one.
-                if let Some(rec) = &self.access {
-                    rec.note_inactive();
-                }
-                None
-            }
-            slot => {
-                if let Some(rec) = &self.access {
-                    rec.note_row_read(v);
-                }
-                let start = slot as usize * self.nc;
-                Some(&self.data[start..start + self.nc])
+                None => rec.note_inactive(),
             }
         }
+        row
+    }
+
+    fn gather_rows<'a>(&'a self, vs: &[u32], rows: &mut Vec<&'a [f64]>) -> usize {
+        gather_slices(self.access.as_deref(), vs, rows, |v| self.row(v))
     }
 
     fn bytes(&self) -> usize {

@@ -269,23 +269,44 @@ pub trait CountTable: Send + Sync + Sized {
         true
     }
 
-    /// Adds vertex `v`'s whole row into `acc` slot-by-slot, equivalent to
-    /// `acc[cs] += self.get(v, cs)` for every `cs` in `0..acc.len()`, in
-    /// ascending `cs` order. Layouts without contiguous rows override this
-    /// with a batched probe (the hashed layout amortizes one hash
-    /// computation over the row's consecutive keys); results are bitwise
-    /// identical to the per-slot default.
-    fn add_row_into(&self, v: usize, acc: &mut [f64]) {
-        for (cs, a) in acc.iter_mut().enumerate() {
-            *a += self.get(v, cs);
-        }
+    /// Pushes the rows of the active vertices among `vs` onto `rows`, in
+    /// the order of `vs`, and returns how many of `vs` were inactive. Each
+    /// row's cache lines are prefetched as it is found, so the misses of a
+    /// whole neighborhood overlap before the rows are read.
+    ///
+    /// Equivalent to a [`CountTable::row_slice`] of every vertex in turn,
+    /// access telemetry included; the slice layouts tally that telemetry
+    /// once per call instead of once per row. Meaningful only where
+    /// [`CountTable::has_row_slices`] holds; layouts without rows push
+    /// nothing.
+    fn gather_rows<'a>(&'a self, vs: &[u32], rows: &mut Vec<&'a [f64]>) -> usize {
+        gather_slices(None, vs, rows, |v| self.row_slice(v))
     }
 
-    /// Hints that vertex `v`'s row is about to be read (e.g. by
-    /// [`CountTable::add_row_into`]): layouts may prefetch the backing
-    /// storage. Semantically a no-op; the default does nothing.
-    fn prefetch_row_hint(&self, v: usize) {
-        let _ = v;
+    /// Adds the rows of the active vertices among `vs` into `acc`, in the
+    /// order of `vs`, and returns how many of `vs` were inactive. Slot
+    /// `cs` of `acc` receives `self.get(v, cs)` for each active `v`, for
+    /// every `cs` in `0..acc.len()`, so sums are bitwise those of the
+    /// per-slot loop.
+    ///
+    /// The hashed layout overrides this with a batched probe: it hints
+    /// every active row's probe window first, computes one hash per row,
+    /// and tallies its access telemetry once per call — the same counters
+    /// as a [`CountTable::vertex_active`] check of each vertex followed by
+    /// the per-slot `get`s of each active one.
+    fn add_rows_into(&self, vs: &[u32], acc: &mut [f64]) -> usize {
+        let mut skipped = 0;
+        for &v in vs {
+            let v = v as usize;
+            if !self.vertex_active(v) {
+                skipped += 1;
+                continue;
+            }
+            for (cs, a) in acc.iter_mut().enumerate() {
+                *a += self.get(v, cs);
+            }
+        }
+        skipped
     }
 
     /// Approximate heap bytes held (peak-memory accounting, Figs. 6–7).
@@ -302,6 +323,65 @@ pub trait CountTable: Send + Sync + Sized {
     /// The layout tag of this table instance (for [`AnyTable`] the layout
     /// actually chosen, which may differ per subtemplate under a budget).
     fn kind(&self) -> TableKind;
+}
+
+/// Requests every cache line of `row` ahead of its read. No-op off
+/// x86-64.
+#[inline(always)]
+pub(crate) fn prefetch_slice(row: &[f64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let ptr = row.as_ptr().cast::<i8>();
+        let bytes = std::mem::size_of_val(row);
+        let mut off = 0;
+        while off < bytes {
+            // Safety: prefetch is a hint; it never faults and `ptr + off`
+            // stays inside the row slice.
+            unsafe { _mm_prefetch(ptr.add(off), _MM_HINT_T0) };
+            off += 64;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
+/// [`CountTable::gather_rows`] of a slice layout whose untracked row
+/// lookup is `row`: one branch on the recorder per call, and the access
+/// counters tallied in locals when there is one.
+#[inline]
+pub(crate) fn gather_slices<'a>(
+    access: Option<&AccessRecorder>,
+    vs: &[u32],
+    rows: &mut Vec<&'a [f64]>,
+    row: impl Fn(usize) -> Option<&'a [f64]>,
+) -> usize {
+    let before = rows.len();
+    match access {
+        None => {
+            for &v in vs {
+                if let Some(r) = row(v as usize) {
+                    prefetch_slice(r);
+                    rows.push(r);
+                }
+            }
+        }
+        Some(rec) => {
+            let mut tally = rec.tally();
+            for &v in vs {
+                match row(v as usize) {
+                    Some(r) => {
+                        prefetch_slice(r);
+                        tally.row_read(v as usize);
+                        rows.push(r);
+                    }
+                    None => tally.inactive(1),
+                }
+            }
+            tally.flush();
+        }
+    }
+    vs.len() - (rows.len() - before)
 }
 
 /// Drops all-zero rows, normalizing rows before table construction so all

@@ -106,6 +106,20 @@ mkdir -p results/perf
 echo "=== kernel speedup gate ==="
 ./target/release/perf ab --smoke --reps 5 --warmup 2 --filter hash --min 1.2 --quiet
 
+# Mem-plane batching gate: the kernel reads a neighborhood through one
+# table call that tallies its access counters once per call. Every DP
+# node's access snapshot of a fixed serial run is pinned, the
+# order-insensitive totals must not depend on the parallel mode or thread
+# count, and each per-neighborhood call must record what the per-row
+# sequence it replaces records.
+echo "=== mem-plane batching gate ==="
+cargo test -q --offline -p fascia-core --test access_counters -- --exact \
+  access_counters_are_pinned \
+  serial_and_parallel_access_totals_agree
+cargo test -q --offline -p fascia-table --lib -- --exact \
+  access::tests::recorders_observe_all_layouts \
+  access::tests::snapshot_ratio_handles_empty
+
 # Memory-observability gate: a tiny counting run under --mem-stats must
 # emit a fascia-mem/1 document (its own stdout line AND the --mem-out
 # file), and `fascia report` must render the run directory to both the
