@@ -42,6 +42,8 @@ use crate::stats::{EstimateStats, StopRule, Welford};
 use fascia_combin::{
     colorful_probability, BinomialTable, ColorSetIter, PositionSplitTable, SplitTable,
 };
+use fascia_graph::csr::Csr;
+use fascia_graph::digraph::DiGraph;
 use fascia_graph::Graph;
 use fascia_obs::{Metrics, Profiler, Tracer};
 use fascia_table::{
@@ -49,6 +51,7 @@ use fascia_table::{
 };
 use fascia_template::automorphism::{automorphisms, rooted_automorphisms};
 use fascia_template::canon::full_mask;
+use fascia_template::directed::DiTemplate;
 use fascia_template::partition::{NodeKind, PartitionError, SubNode};
 use fascia_template::{PartitionStrategy, PartitionTree, Template};
 use rayon::prelude::*;
@@ -405,7 +408,7 @@ pub fn count_template(
     if t.labels().is_some() {
         return Err(CountError::LabelsRequired);
     }
-    count_impl(g, None, t, None, cfg).map(|(r, _)| r)
+    count_impl(g, None, t, Target::Total, cfg).map(|(r, _)| r)
 }
 
 /// Approximate count of a labeled template in a vertex-labeled graph.
@@ -421,7 +424,7 @@ pub fn count_template_labeled(
     if graph_labels.len() != g.num_vertices() {
         return Err(CountError::LabelLengthMismatch);
     }
-    count_impl(g, Some(graph_labels), t, None, cfg).map(|(r, _)| r)
+    count_impl(g, Some(graph_labels), t, Target::Total, cfg).map(|(r, _)| r)
 }
 
 /// Per-vertex rooted counts: the estimated number of occurrences in which
@@ -446,7 +449,7 @@ pub fn rooted_counts(
         progress: None,
         ..cfg.clone()
     };
-    let (r, mut per_vertex) = count_impl(g, None, t, Some(orbit), &cfg)?;
+    let (r, mut per_vertex) = count_impl(g, None, t, Target::Rooted(orbit), &cfg)?;
     let scale = r.colorful_probability * r.automorphisms as f64;
     let denom = scale * r.iterations_run as f64;
     for x in per_vertex.iter_mut() {
@@ -478,28 +481,46 @@ pub(crate) fn effective_colors(t: &Template, cfg: &CountConfig) -> Result<usize,
     Ok(k)
 }
 
+/// What a counting run counts.
+#[derive(Clone, Copy)]
+pub(crate) enum Target<'a> {
+    /// Occurrences of the template.
+    Total,
+    /// Per-vertex counts of template vertex `orbit` as well: the
+    /// partition is rooted there and the pass reports root row sums.
+    Rooted(u8),
+    /// Occurrences of a directed template in a digraph; the run's
+    /// template and graph are their underlying undirected ones.
+    Directed(&'a DiGraph, &'a DiTemplate),
+}
+
 /// The counting driver behind every entry point: validates the run,
 /// resolves its observers once, and runs the attempt/retry/wave loop over
-/// [`run_iteration`]. A rooted run (`orbit` set) roots the partition at
-/// that template vertex and also returns the root table's per-vertex row
-/// sums, summed over iterations in iteration order.
-fn count_impl(
+/// [`run_iteration`]. A rooted run also returns the root table's
+/// per-vertex row sums, summed over iterations in iteration order.
+pub(crate) fn count_impl(
     g: &Graph,
     labels: Option<&[u8]>,
     t: &Template,
-    orbit: Option<u8>,
+    target: Target,
     cfg: &CountConfig,
 ) -> Result<(CountResult, Vec<f64>), CountError> {
     if t.labels().is_some() && labels.is_none() {
         return Err(CountError::LabelsRequired);
     }
     let k = effective_colors(t, cfg)?;
-    let (pt, alpha) = match orbit {
-        Some(o) => (
+    let (pt, alpha) = match target {
+        Target::Total => (PartitionTree::build(t, cfg.strategy)?, automorphisms(t)),
+        Target::Rooted(o) => (
             PartitionTree::build_with_root(t, o, cfg.strategy)?,
             rooted_automorphisms(t, o, full_mask(t.size())),
         ),
-        None => (PartitionTree::build(t, cfg.strategy)?, automorphisms(t)),
+        // Subtrees automorphic as undirected trees may carry different
+        // arc orientations, so no two nodes share a table.
+        Target::Directed(_, dt) => (
+            PartitionTree::build(t, cfg.strategy)?.into_unshared(),
+            dt.automorphisms(),
+        ),
     };
     let obs = Observers::resolve(cfg, &pt, g);
     let p = colorful_probability(k, t.size());
@@ -580,6 +601,7 @@ fn count_impl(
     });
     let dp = Dp {
         g,
+        target,
         labels,
         t,
         ctx: DpContext::new(&pt, k),
@@ -590,7 +612,6 @@ fn count_impl(
         cancel,
         fault,
         obs,
-        row_sums: orbit.is_some(),
     };
     let obs = &dp.obs;
     let cancel = dp.cancel.as_ref();
@@ -708,7 +729,7 @@ fn count_impl(
         || fault != FaultInjection::default();
     let mut stream = Welford::new();
     let mut raw: Vec<(f64, usize)> = Vec::with_capacity(resumed.len());
-    let mut per_vertex = vec![0.0f64; if dp.row_sums { g.num_vertices() } else { 0 }];
+    let mut per_vertex = vec![0.0f64; if dp.row_sums() { g.num_vertices() } else { 0 }];
     // Running relative CI at the stop rule's critical value (NaN while
     // undefined), shared by the ledger feed for resumed and live
     // iterations.
@@ -1073,6 +1094,10 @@ pub(crate) struct IterationOutput {
 /// coloring.
 pub(crate) struct Dp<'a> {
     pub(crate) g: &'a Graph,
+    /// What the run counts: a directed run's cuts read arcs (see
+    /// [`Dp::cut_neighbors`]), a rooted run's pass reports row sums (see
+    /// [`Dp::row_sums`]).
+    pub(crate) target: Target<'a>,
     pub(crate) labels: Option<&'a [u8]>,
     pub(crate) t: &'a Template,
     pub(crate) pt: PartitionTree,
@@ -1084,10 +1109,6 @@ pub(crate) struct Dp<'a> {
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) fault: FaultInjection,
     pub(crate) obs: Observers,
-    /// Report the root table's per-vertex row sums and total the pass by
-    /// them (rooted runs). The stop rule streams that total, since
-    /// per-vertex convergence would be noisy and O(n) per check.
-    pub(crate) row_sums: bool,
 }
 
 impl<'a> Dp<'a> {
@@ -1097,6 +1118,7 @@ impl<'a> Dp<'a> {
     pub(crate) fn scalar_lazy(g: &'a Graph, t: &'a Template, pt: PartitionTree, k: usize) -> Self {
         Self {
             g,
+            target: Target::Total,
             labels: None,
             t,
             ctx: DpContext::new(&pt, k),
@@ -1107,7 +1129,6 @@ impl<'a> Dp<'a> {
             cancel: None,
             fault: FaultInjection::default(),
             obs: Observers::default(),
-            row_sums: false,
         }
     }
 
@@ -1120,6 +1141,32 @@ impl<'a> Dp<'a> {
             ),
             _ => unreachable!("only cut nodes have active and passive children"),
         }
+    }
+
+    /// The neighbor lists cut `node` sums its passive child over: the
+    /// graph's own, or in a directed run the out-arcs when the template
+    /// arc points from the active root to the passive root and the
+    /// in-arcs otherwise — the one step where directed counting differs.
+    pub(crate) fn cut_neighbors(&self, node: &SubNode) -> Csr<'a> {
+        match self.target {
+            Target::Total | Target::Rooted(_) => self.g.csr(),
+            Target::Directed(dg, dt) => {
+                let (_, p_node) = self.cut_children(node);
+                if dt.points_from(node.root, p_node.root) {
+                    dg.out_csr()
+                } else {
+                    dg.in_csr()
+                }
+            }
+        }
+    }
+
+    /// Whether a pass reports the root table's per-vertex row sums and
+    /// totals itself by them (rooted runs). The stop rule streams that
+    /// total, since per-vertex convergence would be noisy and O(n) per
+    /// check.
+    pub(crate) fn row_sums(&self) -> bool {
+        matches!(self.target, Target::Rooted(_))
     }
 }
 
@@ -1168,9 +1215,9 @@ pub(crate) fn run_iteration<T: CountTable>(
         kernel,
         preferred,
         ref obs,
-        row_sums,
         ..
     } = *dp;
+    let row_sums = dp.row_sums();
     let gate = dp.gate.as_ref();
     let cancel = dp.cancel.as_ref();
     let sleep = stall.map_or(dp.fault.sleep_in_dp, |d| {
@@ -1534,6 +1581,7 @@ fn cut_rows_for<T: CountTable>(
     inner_parallel: bool,
 ) -> Rows {
     let (g, labels, ctx) = (dp.g, dp.labels, &dp.ctx);
+    let nbrs = dp.cut_neighbors(node);
     let cancel = dp.cancel.as_ref();
     let cm = dp.obs.metrics.as_ref().map(|m| &m.cut);
     let (a_node, p_node) = dp.cut_children(node);
@@ -1599,7 +1647,7 @@ fn cut_rows_for<T: CountTable>(
         let mut nbr_skipped = 0u64;
         match pas {
             Stored::Single { label } => {
-                for &u in g.neighbors(v) {
+                for &u in nbrs.neighbors(v) {
                     let u = u as usize;
                     if let (Some(l), Some(gl)) = (label, labels) {
                         if gl[u] != *l {
@@ -1614,7 +1662,7 @@ fn cut_rows_for<T: CountTable>(
                 }
             }
             Stored::Table(tb) => {
-                for &u in g.neighbors(v) {
+                for &u in nbrs.neighbors(v) {
                     let u = u as usize;
                     if !tb.vertex_active(u) {
                         nbr_skipped += 1;

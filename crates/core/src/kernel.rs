@@ -163,6 +163,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
     inner_parallel: bool,
 ) -> RowBatch {
     let (g, labels, ctx) = (dp.g, dp.labels, &dp.ctx);
+    let nbrs = dp.cut_neighbors(node);
     let cancel = dp.cancel.as_ref();
     let cm = dp.obs.metrics.as_ref().map(|m| &m.cut);
     let (a_node, p_node) = dp.cut_children(node);
@@ -254,7 +255,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 // converted value is bitwise identical to summed 1.0s.
                 cnt_buf.clear();
                 cnt_buf.resize(nc_p, 0);
-                for &u in g.neighbors(v) {
+                for &u in nbrs.neighbors(v) {
                     let u = u as usize;
                     if let (Some(l), Some(gl)) = (label, labels) {
                         if gl[u] != *l {
@@ -276,7 +277,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 // Addition order (below) is exactly the scalar kernel's
                 // neighbor order.
                 nbr_rows.clear();
-                nbr_skipped = tb.gather_rows(g.neighbors(v), nbr_rows) as u64;
+                nbr_skipped = tb.gather_rows(nbrs.neighbors(v), nbr_rows) as u64;
                 nbr_visited = nbr_rows.len() as u64;
                 if nc_p <= COL_BLOCK {
                     // Common case: the whole row is one block — skip the
@@ -304,9 +305,9 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 // Hash layout: no contiguous rows to gather. One call
                 // hints every active neighbor's probe window, then
                 // batch-probes them in neighbor order.
-                let nbrs = g.neighbors(v);
-                nbr_skipped = tb.add_rows_into(nbrs, pas_acc) as u64;
-                nbr_visited = (nbrs.len() - nbr_skipped as usize) as u64;
+                let neigh = nbrs.neighbors(v);
+                nbr_skipped = tb.add_rows_into(neigh, pas_acc) as u64;
+                nbr_visited = (neigh.len() - nbr_skipped as usize) as u64;
             }
         }
         tally.neighbors_visited += nbr_visited;

@@ -33,7 +33,8 @@ impl Graph {
                 "edge ({u}, {v}) out of range for n = {n}"
             );
         }
-        // Count degrees over deduplicated edges. Normalize, sort, dedup.
+        // Normalize, sort, dedup; each edge then enters both endpoints'
+        // lists.
         let mut norm: Vec<(u32, u32)> = edges
             .iter()
             .filter(|&&(u, v)| u != v)
@@ -42,32 +43,7 @@ impl Graph {
         norm.sort_unstable();
         norm.dedup();
 
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &norm {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut adj = vec![0u32; acc];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in &norm {
-            adj[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            adj[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Each list was filled from a globally sorted edge list, so the
-        // `v` sides are sorted already, but the `u` side entries interleave;
-        // sort each list to guarantee the invariant.
-        for v in 0..n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
+        let (offsets, adj) = build_csr(n, norm.iter().flat_map(|&(u, v)| [(u, v), (v, u)]));
         Self { offsets, adj }
     }
 
@@ -93,6 +69,16 @@ impl Graph {
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
         self.offsets[v + 1] - self.offsets[v]
+    }
+
+    /// Borrowed view of the adjacency, for scans that read either this
+    /// graph's lists or one direction of a [`DiGraph`](crate::digraph::DiGraph)'s.
+    #[inline]
+    pub fn csr(&self) -> Csr<'_> {
+        Csr {
+            offsets: &self.offsets,
+            adj: &self.adj,
+        }
     }
 
     /// Whether the undirected edge `{u, v}` exists (binary search).
@@ -135,6 +121,52 @@ impl Graph {
         self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.adj.capacity() * std::mem::size_of::<u32>()
     }
+}
+
+/// A borrowed CSR adjacency: `offsets[v]..offsets[v + 1]` indexes `adj`
+/// with `v`'s sorted neighbor list. [`Graph::csr`] hands out a graph's
+/// lists, and [`DiGraph`](crate::digraph::DiGraph) its out- and in-lists,
+/// so a scan picks its lists once and then reads them with no branch.
+#[derive(Debug, Clone, Copy)]
+pub struct Csr<'a> {
+    pub(crate) offsets: &'a [usize],
+    pub(crate) adj: &'a [u32],
+}
+
+impl<'a> Csr<'a> {
+    /// Sorted neighbor list of `v`.
+    #[inline]
+    pub fn neighbors(&self, v: usize) -> &'a [u32] {
+        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+/// Builds the CSR arrays of `n` vertices in which each arc `(u, v)` puts
+/// `v` on `u`'s list; every list comes out sorted. Arcs must be in range
+/// and free of self-loops and duplicates.
+pub(crate) fn build_csr<I>(n: usize, arcs: I) -> (Vec<usize>, Vec<u32>)
+where
+    I: Iterator<Item = (u32, u32)> + Clone,
+{
+    // `for_each` rather than `for`: it drives a `flat_map` of arc pairs
+    // as fast as a hand-written loop over the edges.
+    let mut offsets = vec![0usize; n + 1];
+    arcs.clone().for_each(|(u, _)| offsets[u as usize + 1] += 1);
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut adj = vec![0u32; offsets[n]];
+    let mut cursor = offsets[..n].to_vec();
+    arcs.for_each(|(u, v)| {
+        adj[cursor[u as usize]] = v;
+        cursor[u as usize] += 1;
+    });
+    // Arcs arrive in any order, so sort each list to guarantee the
+    // invariant.
+    for v in 0..n {
+        adj[offsets[v]..offsets[v + 1]].sort_unstable();
+    }
+    (offsets, adj)
 }
 
 #[cfg(test)]

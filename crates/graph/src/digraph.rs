@@ -7,7 +7,7 @@
 //! out-adjacency and an in-adjacency — because the DP walks whichever
 //! direction the template arc under the current edge cut demands.
 
-use crate::csr::Graph;
+use crate::csr::{build_csr, Csr, Graph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,32 +36,8 @@ impl DiGraph {
         let mut norm: Vec<(u32, u32)> = arcs.iter().copied().filter(|&(u, v)| u != v).collect();
         norm.sort_unstable();
         norm.dedup();
-        let build = |n: usize, pairs: &[(u32, u32)]| {
-            let mut deg = vec![0usize; n];
-            for &(u, _) in pairs {
-                deg[u as usize] += 1;
-            }
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut acc = 0;
-            offsets.push(0);
-            for d in &deg {
-                acc += d;
-                offsets.push(acc);
-            }
-            let mut adj = vec![0u32; acc];
-            let mut cursor = offsets[..n].to_vec();
-            for &(u, v) in pairs {
-                adj[cursor[u as usize]] = v;
-                cursor[u as usize] += 1;
-            }
-            for v in 0..n {
-                adj[offsets[v]..offsets[v + 1]].sort_unstable();
-            }
-            (offsets, adj)
-        };
-        let (out_offsets, out_adj) = build(n, &norm);
-        let reversed: Vec<(u32, u32)> = norm.iter().map(|&(u, v)| (v, u)).collect();
-        let (in_offsets, in_adj) = build(n, &reversed);
+        let (out_offsets, out_adj) = build_csr(n, norm.iter().copied());
+        let (in_offsets, in_adj) = build_csr(n, norm.iter().map(|&(u, v)| (v, u)));
         Self {
             out_offsets,
             out_adj,
@@ -115,6 +91,24 @@ impl DiGraph {
     #[inline]
     pub fn in_neighbors(&self, v: usize) -> &[u32] {
         &self.in_adj[self.in_offsets[v]..self.in_offsets[v + 1]]
+    }
+
+    /// Borrowed view of the out-adjacency.
+    #[inline]
+    pub fn out_csr(&self) -> Csr<'_> {
+        Csr {
+            offsets: &self.out_offsets,
+            adj: &self.out_adj,
+        }
+    }
+
+    /// Borrowed view of the in-adjacency.
+    #[inline]
+    pub fn in_csr(&self) -> Csr<'_> {
+        Csr {
+            offsets: &self.in_offsets,
+            adj: &self.in_adj,
+        }
     }
 
     /// Out-degree of `v`.

@@ -22,14 +22,19 @@ cargo test -q --workspace --offline
 echo "=== resilience & fault-injection suites ==="
 cargo test -q --offline --test resilience --test fault_injection
 
-# Single-DP-driver gate: counting, rooted counts, sampling and the
-# distributed simulation all build their tables through the engine's one
-# DP driver. The three pinned tests hold rooted counts, sampled
-# embeddings and distsim's accounting bit for bit; the kernel-equivalence
-# and observe-only suites hold the driver itself.
+# Single-DP-driver gate: counting, rooted counts, directed counts,
+# sampling and the distributed simulation all build their tables through
+# the engine's one DP driver. The four pinned tests hold rooted counts,
+# directed estimates, sampled embeddings and distsim's accounting bit for
+# bit; directed bits must not depend on kernel, layout, parallel mode or
+# budget ladder, and a directed run must honor its config. The
+# kernel-equivalence and observe-only suites hold the driver itself.
 echo "=== single DP driver gate ==="
 cargo test -q --offline -p fascia-core --lib -- --exact \
   engine::tests::rooted_counts_are_pinned \
+  directed::tests::estimates_are_pinned \
+  directed::tests::bits_agree_across_configurations \
+  directed::tests::config_reaches_the_driver \
   sample::tests::embeddings_are_pinned \
   distsim::tests::accounting_is_pinned
 cargo test -q --offline --test kernel_equivalence
